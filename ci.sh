@@ -145,3 +145,8 @@ check_bench_schema BENCH_cluster_resilience.json \
     bench seed provenance node_counts series collective algorithm bytes \
     nodes fault_free_us faulted_us inflation_pct repairs hops_retried \
     hops_rerouted repair_latency_us retry_queue_peak dead_nodes
+
+# Both collectives artifacts are computed in virtual time only, so a
+# regeneration must reproduce the committed files byte for byte: any diff
+# means simulated behaviour changed and has to be explained and committed.
+git diff --exit-code -- BENCH_collectives.json BENCH_cluster_resilience.json

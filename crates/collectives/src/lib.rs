@@ -119,14 +119,63 @@ impl Collectives {
         algorithm: Algorithm,
         bytes: u64,
     ) -> Result<CompletedOp, String> {
+        let dag = algorithm.dag(self.nodes(), bytes);
+        let predicted_us = cost::predict_dag_us(&mut self.bank, &dag);
+        self.execute(algorithm, bytes, &dag, predicted_us)
+    }
+
+    /// Runs `collective` with the prediction-chosen variant — the
+    /// crate's headline operation. Each candidate is compiled and
+    /// predicted once; the winner runs on that DAG and carries that
+    /// prediction. On a healing cluster each candidate's corrected
+    /// prediction additionally carries a health penalty for routing hops
+    /// through sick nodes, so sustained degradation shifts the choice
+    /// (flat → tree when the hub's rails are failing).
+    pub fn run(&mut self, collective: Collective, bytes: u64) -> Result<CompletedOp, String> {
         let nodes = self.nodes();
-        let predicted_us = self.predict_us(algorithm, bytes);
-        let dag = algorithm.dag(nodes, bytes);
-        let result = self.runner.run(&mut self.bank, &dag)?;
+        let candidates: Vec<(Algorithm, HopDag, f64)> = collective
+            .algorithms()
+            .into_iter()
+            .map(|a| {
+                let dag = a.dag(nodes, bytes);
+                let predicted = cost::predict_dag_us(&mut self.bank, &dag);
+                (a, dag, predicted)
+            })
+            .collect();
+        let chosen = if self.runner.healing() {
+            let sickness = self.runner.node_sickness();
+            let penalized: Vec<(Algorithm, f64, f64)> = candidates
+                .iter()
+                .map(|(a, dag, predicted)| (*a, *predicted, dag_health_penalty_us(dag, sickness)))
+                .collect();
+            self.selector.choose_penalized(&penalized)
+        } else {
+            let plain: Vec<(Algorithm, f64)> =
+                candidates.iter().map(|(a, _, predicted)| (*a, *predicted)).collect();
+            self.selector.choose(&plain)
+        };
+        let algorithm = chosen.ok_or("no algorithm candidates")?.0;
+        let (_, dag, predicted_us) = candidates
+            .into_iter()
+            .find(|c| c.0 == algorithm)
+            .expect("the selector picks one of the candidates");
+        self.execute(algorithm, bytes, &dag, predicted_us)
+    }
+
+    /// Runs the compiled `dag` of `algorithm` and records the outcome
+    /// against `predicted_us` (the uncorrected prediction for that DAG).
+    fn execute(
+        &mut self,
+        algorithm: Algorithm,
+        bytes: u64,
+        dag: &HopDag,
+        predicted_us: f64,
+    ) -> Result<CompletedOp, String> {
+        let result = self.runner.run(&mut self.bank, dag)?;
         let op = CompletedOp {
             collective: algorithm.collective(),
             algorithm,
-            nodes,
+            nodes: dag.nodes,
             bytes,
             predicted_us,
             measured_us: result.duration_us,
@@ -141,36 +190,6 @@ impl Collectives {
             measured_us: op.measured_us,
         });
         Ok(op)
-    }
-
-    /// Runs `collective` with the prediction-chosen variant — the
-    /// crate's headline operation. On a healing cluster each candidate's
-    /// corrected prediction additionally carries a health penalty for
-    /// routing hops through sick nodes, so sustained degradation shifts
-    /// the choice (flat → tree when the hub's rails are failing).
-    pub fn run(&mut self, collective: Collective, bytes: u64) -> Result<CompletedOp, String> {
-        let nodes = self.nodes();
-        let algorithm = if self.runner.healing() {
-            let candidates: Vec<(Algorithm, f64, f64)> = collective
-                .algorithms()
-                .into_iter()
-                .map(|a| {
-                    let dag = a.dag(nodes, bytes);
-                    let predicted = cost::predict_dag_us(&mut self.bank, &dag);
-                    let penalty = dag_health_penalty_us(&dag, self.runner.node_sickness());
-                    (a, predicted, penalty)
-                })
-                .collect();
-            self.selector.choose_penalized(&candidates).ok_or("no algorithm candidates")?.0
-        } else {
-            let candidates: Vec<(Algorithm, f64)> = collective
-                .algorithms()
-                .into_iter()
-                .map(|a| (a, cost::predict_dag_us(&mut self.bank, &a.dag(nodes, bytes))))
-                .collect();
-            self.selector.choose(&candidates).ok_or("no algorithm candidates")?.0
-        };
-        self.run_algorithm(algorithm, bytes)
     }
 }
 
@@ -243,6 +262,32 @@ mod tests {
         assert_eq!(picked.first(), Some(&Algorithm::BarrierFlat), "the raw model says flat");
         assert_eq!(picked.last(), Some(&Algorithm::BarrierTree), "feedback learns tree");
         assert!(c.selector().correction(Algorithm::BarrierFlat) > 2.0);
+    }
+
+    #[test]
+    fn run_reports_the_chosen_variants_own_prediction() {
+        let mut c = stack(8);
+        let mut seen = Vec::new();
+        for _ in 0..4 {
+            for (coll, bytes) in [
+                (Collective::Barrier, 1u64),
+                (Collective::Broadcast, MIB - 3),
+                (Collective::AllToAll, 16 * KIB),
+            ] {
+                let op = c.run(coll, bytes).expect("run");
+                assert_eq!(
+                    op.predicted_us.to_bits(),
+                    c.predict_us(op.algorithm, bytes).to_bits(),
+                    "{coll:?}: the recorded prediction is the chosen DAG's"
+                );
+                seen.push(op.algorithm);
+            }
+        }
+        // Feedback flips the barrier (see feedback_flips_a_misprediction's
+        // mechanism), so more than one variant's prediction was checked.
+        seen.sort_unstable_by_key(|a| a.ordinal());
+        seen.dedup();
+        assert!(seen.len() > 3, "{seen:?}");
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! Letting any single engine's `poll` free-run the clock instead would
 //! post dependent hops *after* the clock passed their true ready time,
 //! deforming the schedule.
+//!
+//! The drain visits only the engines with queued events: the cluster lists
+//! an inbox as it fills and [`SimCluster::ready_pairs`] hands those pairs
+//! back sorted, so a step costs the engines it touched, not all `n(n-1)`
+//! of them. Routing queues only events a pair can use, so every engine
+//! polled here returns without moving the clock.
 
 use crate::profiles::ProfileBank;
 use crate::repair::{self, HopRole};
@@ -203,6 +209,15 @@ impl CollectiveCluster {
         }
     }
 
+    /// The pairs whose engine has events queued, in pair order — the
+    /// order iterating `engines` would visit them. Only inboxes that filled
+    /// are looked at, not every engine.
+    fn ready_engines(&self) -> Vec<(usize, usize)> {
+        let mut pairs = self.cluster.ready_pairs();
+        pairs.retain(|pair| self.engines.contains_key(pair));
+        pairs
+    }
+
     /// Executes `dag` to completion, event-ordered. On a healing cluster
     /// hops are deadline-watched and the DAG is repaired around quarantined
     /// rails and dead nodes; otherwise any failure is fatal. Fails when the
@@ -274,14 +289,9 @@ impl CollectiveCluster {
             loop {
                 // Same-instant deliveries leave several inboxes pending at
                 // once, and poll order decides same-instant submit order
-                // downstream: engines live in a BTreeMap precisely so this
-                // collects in pair order and runs stay bit-deterministic.
-                let pending: Vec<(usize, usize)> = self
-                    .engines
-                    .iter()
-                    .filter(|(_, e)| e.transport().pending_events() > 0)
-                    .map(|(&k, _)| k)
-                    .collect();
+                // downstream: the cluster reports ready pairs sorted, so
+                // runs stay bit-deterministic by construction.
+                let pending = self.ready_engines();
                 if pending.is_empty() {
                     break;
                 }
@@ -396,15 +406,10 @@ impl CollectiveCluster {
             while outstanding > 0 {
                 // Drain inboxes to a fixed point, then process completions.
                 loop {
-                    // BTreeMap iteration is pair-ordered, so poll (and thus
+                    // Ready pairs come sorted, so poll (and thus
                     // same-instant submit) order is reproducible by
                     // construction.
-                    let pending: Vec<(usize, usize)> = self
-                        .engines
-                        .iter()
-                        .filter(|(_, e)| e.transport().pending_events() > 0)
-                        .map(|(&k, _)| k)
-                        .collect();
+                    let pending = self.ready_engines();
                     if pending.is_empty() {
                         break;
                     }

@@ -30,7 +30,7 @@ use nm_faults::Change;
 use nm_model::SimTime;
 use nm_sim::{ClusterSpec, CoreId, NodeId, RailId, SendSpec, SimEvent, Simulator, TransferId};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 /// Synthetic id space for chunks rejected at submission (port down) — far
@@ -66,24 +66,98 @@ struct ClusterFaults {
     next_rejected: u64,
 }
 
+/// Owner-ledger sentinel: the transfer was cancelled (or never owned).
+const NO_OWNER: usize = usize::MAX;
+
+/// Routing state of one registered driver (its events live in
+/// [`Shared::inboxes`] at the same index).
+struct Route {
+    /// The directed pair the driver serves.
+    pair: (usize, usize),
+    /// Listed in [`Shared::ready`]. Every non-empty inbox is listed; a
+    /// listed inbox may have been drained since.
+    listed: bool,
+    /// The driver was dropped: nobody will poll this inbox again, so
+    /// events routed here are discarded instead of piling up.
+    closed: bool,
+}
+
 struct Shared {
     sim: Simulator,
-    /// One inbox per registered driver.
+    /// One inbox per registered driver, indexed by driver.
     inboxes: Vec<VecDeque<TransportEvent>>,
-    /// Source node of each driver (for idle-event routing).
-    sources: Vec<NodeId>,
-    /// Which driver submitted each transfer.
-    owner: HashMap<TransferId, usize>,
+    /// Per-driver routing state, indexed like `inboxes`.
+    routes: Vec<Route>,
+    /// Drivers by source node, ascending (core-idle routing).
+    by_source: Vec<Vec<usize>>,
+    /// Drivers by `(source node, physical rail)` at `node * rails + rail`,
+    /// ascending: only pairs whose rail map holds the rail hear that NIC
+    /// go idle, so a non-empty inbox always has something to deliver.
+    by_port: Vec<Vec<usize>>,
+    /// Drivers whose inbox filled since [`SimCluster::ready_pairs`] last
+    /// found it empty, in listing order.
+    ready: Vec<usize>,
+    /// Which driver submitted each transfer, indexed by the simulator's
+    /// dense `TransferId`; [`NO_OWNER`] once cancelled.
+    owner: Vec<usize>,
     /// Fault replay; `None` keeps every injection hook fully disabled.
     faults: Option<Box<ClusterFaults>>,
 }
 
 impl Shared {
+    fn new(sim: Simulator, faults: Option<Box<ClusterFaults>>) -> Self {
+        let nodes = sim.spec().nodes.len();
+        let ports = nodes * sim.spec().rail_count();
+        Shared {
+            sim,
+            inboxes: Vec::new(),
+            routes: Vec::new(),
+            by_source: vec![Vec::new(); nodes],
+            by_port: vec![Vec::new(); ports],
+            ready: Vec::new(),
+            owner: Vec::new(),
+            faults,
+        }
+    }
+
+    /// Queues `ev` for driver `driver`, listing the inbox as ready. A
+    /// dropped driver's events are discarded.
+    // nm-analyzer: allow(unbounded-growth) -- an inbox is drained by its driver's next poll
+    // (closed ones discard), and `listed` keeps each driver in `ready` at most once
+    fn push(&mut self, driver: usize, ev: TransportEvent) {
+        let route = &mut self.routes[driver];
+        if route.closed {
+            return;
+        }
+        if !route.listed {
+            route.listed = true;
+            self.ready.push(driver);
+        }
+        self.inboxes[driver].push_back(ev);
+    }
+
+    /// Records `driver` as the submitter of `id`.
+    // nm-analyzer: allow(unbounded-growth) -- dense mirror of the simulator's transfer table:
+    // one slot per submitted transfer, dropped with the cluster like the table itself
+    fn set_owner(&mut self, id: TransferId, driver: usize) {
+        let slot = id.0 as usize;
+        match self.owner.get_mut(slot) {
+            Some(owner) => *owner = driver,
+            None => {
+                self.owner.resize(slot, NO_OWNER);
+                self.owner.push(driver);
+            }
+        }
+    }
+
+    /// The driver that submitted `id`, unless it was cancelled.
+    fn owner_of(&self, id: TransferId) -> Option<usize> {
+        self.owner.get(id.0 as usize).copied().filter(|&o| o != NO_OWNER)
+    }
+
     /// Applies every fault transition due at or before `at`. Called per
     /// routed event (each transition instant also has a pinned wakeup), so
     /// the state a submission consults is always current for `now`.
-    // nm-analyzer: allow(unbounded-growth) -- per-port inboxes; every push is drained by the
-    // owning driver's next poll
     fn apply_transitions_until(&mut self, at: SimTime) {
         loop {
             let Some(f) = self.faults.as_deref_mut() else { return };
@@ -107,15 +181,17 @@ impl Shared {
                         })
                         .map(|(&id, _)| id)
                         .collect();
+                    for id in &victims {
+                        f.inflight.remove(id);
+                        f.doomed.remove(id);
+                        f.suppressed.insert(*id);
+                    }
                     for id in victims {
-                        f.inflight.remove(&id);
-                        f.doomed.remove(&id);
-                        f.suppressed.insert(id);
-                        if let Some(&o) = self.owner.get(&id) {
-                            self.inboxes[o].push_back(TransportEvent::ChunkFailed {
-                                chunk: ChunkId(id.0),
-                                at: t.at,
-                            });
+                        if let Some(o) = self.owner_of(id) {
+                            self.push(
+                                o,
+                                TransportEvent::ChunkFailed { chunk: ChunkId(id.0), at: t.at },
+                            );
                         }
                     }
                 }
@@ -134,8 +210,6 @@ impl Shared {
     }
 
     /// Steps the simulator once and routes the produced events.
-    // nm-analyzer: allow(unbounded-growth) -- per-port inboxes; every routed event is drained
-    // by the owning driver's next poll
     fn pump(&mut self) -> bool {
         let events = self.sim.step();
         if events.is_empty() {
@@ -153,20 +227,16 @@ impl Shared {
                             continue; // failure already reported at onset
                         }
                         if f.doomed.remove(&transfer) {
-                            if let Some(&o) = self.owner.get(&transfer) {
-                                self.inboxes[o].push_back(TransportEvent::ChunkFailed {
-                                    chunk: ChunkId(transfer.0),
-                                    at,
-                                });
+                            if let Some(o) = self.owner_of(transfer) {
+                                let chunk = ChunkId(transfer.0);
+                                self.push(o, TransportEvent::ChunkFailed { chunk, at });
                             }
                             continue;
                         }
                     }
-                    if let Some(&o) = self.owner.get(&transfer) {
-                        self.inboxes[o].push_back(TransportEvent::ChunkDelivered {
-                            chunk: ChunkId(transfer.0),
-                            at,
-                        });
+                    if let Some(o) = self.owner_of(transfer) {
+                        let chunk = ChunkId(transfer.0);
+                        self.push(o, TransportEvent::ChunkDelivered { chunk, at });
                     }
                 }
                 SimEvent::SendDone { transfer, at } => {
@@ -175,26 +245,24 @@ impl Shared {
                             continue;
                         }
                     }
-                    if let Some(&o) = self.owner.get(&transfer) {
-                        self.inboxes[o].push_back(TransportEvent::ChunkSendDone {
-                            chunk: ChunkId(transfer.0),
-                            at,
-                        });
+                    if let Some(o) = self.owner_of(transfer) {
+                        let chunk = ChunkId(transfer.0);
+                        self.push(o, TransportEvent::ChunkSendDone { chunk, at });
                     }
                 }
                 SimEvent::NicIdle { node, rail, at } => {
-                    // Every engine sending *from* this node shares the NIC.
-                    for (i, &src) in self.sources.iter().enumerate() {
-                        if src == node {
-                            self.inboxes[i].push_back(TransportEvent::RailIdle { rail, at });
-                        }
+                    // Every engine sending *from* this node over this rail
+                    // shares the NIC; pairs without the rail never see it.
+                    let port = node.index() * self.sim.spec().rail_count() + rail.index();
+                    for k in 0..self.by_port[port].len() {
+                        let i = self.by_port[port][k];
+                        self.push(i, TransportEvent::RailIdle { rail, at });
                     }
                 }
                 SimEvent::CoreIdle { node, core, at } => {
-                    for (i, &src) in self.sources.iter().enumerate() {
-                        if src == node {
-                            self.inboxes[i].push_back(TransportEvent::CoreIdle { core, at });
-                        }
+                    for k in 0..self.by_source[node.index()].len() {
+                        let i = self.by_source[node.index()][k];
+                        self.push(i, TransportEvent::CoreIdle { core, at });
                     }
                 }
                 SimEvent::Wakeup { token, at } => {
@@ -203,8 +271,8 @@ impl Shared {
                     // instants (the step itself is the payload).
                     if token >= ENGINE_WAKEUP_BASE {
                         let i = (token - ENGINE_WAKEUP_BASE) as usize;
-                        if let Some(inbox) = self.inboxes.get_mut(i) {
-                            inbox.push_back(TransportEvent::Wakeup { at });
+                        if i < self.inboxes.len() {
+                            self.push(i, TransportEvent::Wakeup { at });
                         }
                     }
                 }
@@ -235,15 +303,7 @@ pub struct SimCluster {
 impl SimCluster {
     /// Wraps a cluster spec in a shared simulator.
     pub fn new(spec: ClusterSpec) -> Self {
-        SimCluster {
-            shared: Rc::new(RefCell::new(Shared {
-                sim: Simulator::new(spec),
-                inboxes: Vec::new(),
-                sources: Vec::new(),
-                owner: HashMap::new(),
-                faults: None,
-            })),
-        }
+        SimCluster { shared: Rc::new(RefCell::new(Shared::new(Simulator::new(spec), None))) }
     }
 
     /// Wraps a cluster spec in a shared simulator that replays `schedule`.
@@ -273,13 +333,7 @@ impl SimCluster {
             suppressed: HashSet::new(),
             next_rejected: 0,
         };
-        let mut shared = Shared {
-            sim,
-            inboxes: Vec::new(),
-            sources: Vec::new(),
-            owner: HashMap::new(),
-            faults: Some(Box::new(faults)),
-        };
+        let mut shared = Shared::new(sim, Some(Box::new(faults)));
         // Transitions scheduled at t=0 are already due: apply them now so
         // the first submission sees them without waiting for a pump.
         shared.apply_transitions_until(SimTime::ZERO);
@@ -329,7 +383,12 @@ impl SimCluster {
         assert!(!rail_map.is_empty(), "nodes {src} and {dst} share no rail");
         let index = s.inboxes.len();
         s.inboxes.push(VecDeque::new());
-        s.sources.push(src);
+        s.routes.push(Route { pair: (src.index(), dst.index()), listed: false, closed: false });
+        s.by_source[src.index()].push(index);
+        let rails = s.sim.spec().rail_count();
+        for rail in &rail_map {
+            s.by_port[src.index() * rails + rail.index()].push(index);
+        }
         PairDriver { shared: self.shared.clone(), index, src, dst, rail_map }
     }
 
@@ -349,12 +408,34 @@ impl SimCluster {
     ///
     /// Workload drivers that coordinate *several* engines (collectives) use
     /// this instead of letting any one engine's `poll` free-run the clock:
-    /// after each single step they drain every engine whose inbox filled
-    /// ([`PairDriver::pending_events`]), so dependent sends are posted at
+    /// after each single step they drain the engines whose inbox filled
+    /// ([`SimCluster::ready_pairs`]), so dependent sends are posted at
     /// their true virtual time instead of wherever another engine happened
     /// to drag the clock.
     pub fn pump_one(&self) -> bool {
         self.shared.borrow_mut().pump()
+    }
+
+    /// The pairs whose driver has events queued
+    /// ([`PairDriver::pending_events`] `> 0`), sorted by `(src, dst)` and
+    /// reported once per pair. Polling any of them delivers without
+    /// advancing the clock.
+    ///
+    /// The cost is proportional to the inboxes that filled since the last
+    /// call, not to the number of drivers: routing lists an inbox when an
+    /// event lands in it, and this call prunes the listed inboxes a poll
+    /// has emptied since.
+    pub fn ready_pairs(&self) -> Vec<(usize, usize)> {
+        let mut s = self.shared.borrow_mut();
+        let Shared { inboxes, routes, ready, .. } = &mut *s;
+        ready.retain(|&i| {
+            routes[i].listed = !inboxes[i].is_empty();
+            routes[i].listed
+        });
+        let mut pairs: Vec<(usize, usize)> = ready.iter().map(|&i| routes[i].pair).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 
     /// Cumulative reserved time on the switch backplane of a physical rail
@@ -394,9 +475,22 @@ impl PairDriver {
     }
 
     /// Events queued in this driver's inbox, deliverable by the next `poll`
-    /// without advancing the shared clock.
+    /// without advancing the shared clock. Only events this pair can use
+    /// are queued (a NIC going idle reaches just the pairs on that rail),
+    /// so a non-zero count means `poll` returns at once with something.
     pub fn pending_events(&self) -> usize {
         self.shared.borrow().inboxes[self.index].len()
+    }
+}
+
+impl Drop for PairDriver {
+    /// Closes the inbox: events for a dropped driver are discarded instead
+    /// of accumulating, and the pair stops being reported ready.
+    fn drop(&mut self) {
+        if let Ok(mut s) = self.shared.try_borrow_mut() {
+            s.routes[self.index].closed = true;
+            s.inboxes[self.index].clear();
+        }
     }
 }
 
@@ -442,7 +536,7 @@ impl Transport for PairDriver {
                 let id = ChunkId(REJECTED_CHUNK_BASE | f.next_rejected);
                 f.next_rejected += 1;
                 let at = s.sim.now();
-                s.inboxes[self.index].push_back(TransportEvent::ChunkFailed { chunk: id, at });
+                s.push(self.index, TransportEvent::ChunkFailed { chunk: id, at });
                 return id;
             }
         }
@@ -456,7 +550,7 @@ impl Transport for PairDriver {
             mode: chunk.mode,
             offload_delay: chunk.offload_delay,
         });
-        s.owner.insert(id, self.index);
+        s.set_owner(id, self.index);
         if let Some(f) = s.faults.as_deref_mut() {
             f.inflight.insert(id, (self.src.index(), self.dst.index(), rail.index()));
             // Fixed draw order (tx port, then rx port) keeps the loss
@@ -492,7 +586,9 @@ impl Transport for PairDriver {
             return false;
         }
         for id in &ids {
-            s.owner.remove(id);
+            if let Some(slot) = s.owner.get_mut(id.0 as usize) {
+                *slot = NO_OWNER;
+            }
             if let Some(f) = s.faults.as_deref_mut() {
                 f.inflight.remove(id);
                 f.doomed.remove(id);
@@ -502,30 +598,24 @@ impl Transport for PairDriver {
     }
 
     fn poll(&mut self) -> Vec<TransportEvent> {
-        loop {
-            let drained: Vec<TransportEvent> = {
-                let mut s = self.shared.borrow_mut();
-                if s.inboxes[self.index].is_empty() && !s.pump() {
-                    return Vec::new();
-                }
-                s.inboxes[self.index].drain(..).collect()
-            };
-            // Physical rail events fold into the local rail space; idle
-            // notifications for rails this pair cannot use are dropped
-            // (possibly leaving nothing — then keep pumping).
-            let events: Vec<TransportEvent> = drained
-                .into_iter()
-                .filter_map(|ev| match ev {
-                    TransportEvent::RailIdle { rail, at } => {
-                        self.local(rail).map(|rail| TransportEvent::RailIdle { rail, at })
-                    }
-                    other => Some(other),
-                })
-                .collect();
-            if !events.is_empty() {
-                return events;
+        let mut s = self.shared.borrow_mut();
+        // An empty inbox pumps the shared clock until something lands here.
+        while s.inboxes[self.index].is_empty() {
+            if !s.pump() {
+                return Vec::new();
             }
         }
+        // Physical rail events fold into the local rail space. Routing only
+        // queues idle events for rails in `rail_map`, so none is dropped.
+        s.inboxes[self.index]
+            .drain(..)
+            .filter_map(|ev| match ev {
+                TransportEvent::RailIdle { rail, at } => {
+                    self.local(rail).map(|rail| TransportEvent::RailIdle { rail, at })
+                }
+                other => Some(other),
+            })
+            .collect()
     }
 }
 
@@ -712,6 +802,130 @@ mod tests {
         assert!(steps >= 1, "at least one event must fire");
         assert!(e01.transport().pending_events() > 0, "events land in the inbox");
         e01.drain().expect("drain");
+    }
+
+    fn submit_on(d: &mut PairDriver, rail: usize, bytes: u64) -> ChunkId {
+        d.submit(crate::transport::ChunkSubmit {
+            rail: RailId(rail),
+            bytes,
+            send_core: CoreId(0),
+            recv_core: CoreId(0),
+            offload_delay: nm_model::SimDuration::ZERO,
+            mode: None,
+            payload: None,
+        })
+    }
+
+    #[test]
+    fn nic_idle_reaches_only_pairs_on_that_rail() {
+        // Node 2 has only the rail-1 NIC, so the 0->2 pair never uses
+        // rail 0. When node 0's rail-0 NIC goes idle, that pair must not
+        // hear of it: an inbox holding only a foreign-rail idle looked
+        // pending, yet its poll dropped the event and pumped the shared
+        // clock instead of returning.
+        let mut spec = three_node_spec();
+        spec.nodes[2].rails = Some(vec![1]);
+        let cluster = SimCluster::new(spec);
+        let mut d01 = cluster.pair_driver(NodeId(0), NodeId(1));
+        let mut d02 = cluster.pair_driver(NodeId(0), NodeId(2));
+        assert_eq!(d02.rail_map(), &[RailId(1)]);
+        submit_on(&mut d01, 0, MIB);
+        let mut idles = [0usize; 2];
+        while cluster.pump_one() {
+            for (k, d) in [&mut d01, &mut d02].into_iter().enumerate() {
+                if d.pending_events() == 0 {
+                    continue;
+                }
+                let before = cluster.now();
+                let events = d.poll();
+                assert_eq!(cluster.now(), before, "a pending inbox polls without pumping");
+                assert!(!events.is_empty(), "a pending inbox has something to deliver");
+                idles[k] +=
+                    events.iter().filter(|e| matches!(e, TransportEvent::RailIdle { .. })).count();
+            }
+        }
+        assert!(idles[0] > 0, "the rail-0 NIC went idle for the pair using it");
+        assert_eq!(idles[1], 0, "the rail-1-only pair never hears of rail 0");
+    }
+
+    #[test]
+    fn ready_pairs_are_exactly_the_pending_pairs_in_pair_order() {
+        use nm_faults::{ClusterFaultSchedule, ClusterFaultSpec, FaultKind};
+        // Node 1's rail-0 port is dark for the first 200 µs: submits onto
+        // it are rejected straight into the submitter's inbox.
+        let schedule = ClusterFaultSchedule::new(3).with(ClusterFaultSpec::port(
+            1,
+            RailId(0),
+            SimTime::ZERO,
+            FaultKind::RailDown { duration: nm_model::SimDuration::from_micros(200) },
+        ));
+        let cluster = SimCluster::with_faults(three_node_spec(), &schedule).expect("schedule");
+        // Registration order deliberately differs from pair order.
+        let mut drivers: Vec<PairDriver> = [(2, 1), (1, 0), (0, 2), (0, 1), (2, 0), (1, 2)]
+            .into_iter()
+            .map(|(s, d)| cluster.pair_driver(NodeId(s), NodeId(d)))
+            .collect();
+        let check = |drivers: &[PairDriver], when: &str| {
+            let mut want: Vec<(usize, usize)> = drivers
+                .iter()
+                .filter(|d| d.pending_events() > 0)
+                .map(|d| (d.src.index(), d.dst.index()))
+                .collect();
+            want.sort_unstable();
+            assert_eq!(cluster.ready_pairs(), want, "{when}");
+        };
+        check(&drivers, "fresh cluster");
+
+        let rejected = submit_on(&mut drivers[3], 0, 64 * 1024);
+        assert!(rejected.0 >= super::REJECTED_CHUNK_BASE);
+        check(&drivers, "after a rejected submit");
+        assert_eq!(cluster.ready_pairs(), vec![(0, 1)]);
+
+        submit_on(&mut drivers[0], 1, MIB);
+        submit_on(&mut drivers[2], 0, 256 * 1024);
+        submit_on(&mut drivers[1], 1, 64 * 1024);
+        let mut step = 0;
+        while cluster.pump_one() {
+            step += 1;
+            check(&drivers, &format!("after pump {step}"));
+            // Drain only some of the ready drivers, so listed-but-drained
+            // and listed-and-refilled inboxes both occur.
+            if step % 3 == 0 {
+                if let Some(&(s, d)) = cluster.ready_pairs().first() {
+                    let k = drivers
+                        .iter()
+                        .position(|x| (x.src.index(), x.dst.index()) == (s, d))
+                        .expect("driver");
+                    drivers[k].poll();
+                    check(&drivers, &format!("after polling {s}->{d} at pump {step}"));
+                }
+            }
+            if step == 7 {
+                // A driver with an empty inbox pumps on its own until an
+                // event of its own arrives, feeding its peers on the way.
+                let k = drivers.iter().position(|d| d.pending_events() == 0).expect("idle");
+                let before = cluster.now();
+                drivers[k].poll();
+                assert!(cluster.now() >= before);
+                check(&drivers, "after a self-pumping poll");
+            }
+        }
+        check(&drivers, "calendar drained");
+        // A dropped driver's pair is never reported again, although its
+        // transfer still completes on the shared calendar.
+        submit_on(&mut drivers[0], 1, MIB);
+        while drivers[0].pending_events() == 0 {
+            assert!(cluster.pump_one(), "the 2->1 transfer must raise events");
+        }
+        assert!(cluster.ready_pairs().contains(&(2, 1)));
+        drop(drivers.remove(0));
+        check(&drivers, "right after dropping 2->1");
+        let mut steps = 0;
+        while cluster.pump_one() {
+            steps += 1;
+            check(&drivers, "after dropping 2->1");
+        }
+        assert!(steps > 0, "the dropped driver's transfer was still in flight");
     }
 
     #[test]
